@@ -1,0 +1,2 @@
+(* Monotonic seconds; only differences are used. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
